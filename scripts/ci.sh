@@ -23,6 +23,12 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
+echo "== satmbench self-tests (output checks, seed determinism, compare rule)"
+# Builds the benchmark's own package into .bench_build/ and drives every
+# workload briefly, including the deliberately corrupted runs its checks
+# must reject.
+python3 satmbench/test_bench.py
+
 echo "== bench smoke (perf_suite + kv_service + loopback wire, merged)"
 scripts/bench.sh --smoke "$JOBS"
 scripts/check_bench_schema.sh --require-kv --require-affine \

@@ -34,6 +34,27 @@ uint32_t roundUpPow2(uint32_t V) {
   return P;
 }
 
+/// Per-call scratch array of N elements: inline up to a wire frame's key
+/// count (net::MaxKeysPerFrame), on the heap above it, so the multi-key
+/// operations allocate nothing for the batches they are used with.
+template <typename T> class Scratch {
+public:
+  explicit Scratch(size_t N) : P(N <= Inline ? Small : new T[N]) {}
+  ~Scratch() {
+    if (P != Small)
+      delete[] P;
+  }
+  Scratch(const Scratch &) = delete;
+  Scratch &operator=(const Scratch &) = delete;
+  T *data() { return P; }
+  T &operator[](size_t I) { return P[I]; }
+
+private:
+  static constexpr size_t Inline = 64;
+  T Small[Inline];
+  T *P;
+};
+
 /// Shared driver for the budgeted transactional operations: runs \p Body
 /// (which sets \p St to the committed outcome) as an eager transaction,
 /// cutting it short via userAbort when \p B runs out. The budget check sits
@@ -269,10 +290,33 @@ bool Store::putFastOwned(Word Key, Word Val) {
 // Transactional plane.
 //===----------------------------------------------------------------------===
 
-int Store::findSlotTxn(stm::Txn &Tx, const ShardRep &S, Word Key,
-                       int *FirstFree) const {
+void Store::locate(const Word *Keys, size_t N, uint64_t *Hashes) const {
   const uint32_t Mask = Capacity - 1;
-  uint32_t I = probeStart(Key, Capacity);
+  // Round 1: every key's index lines, all misses in flight at once.
+  for (size_t I = 0; I < N; ++I) {
+    uint64_t Hash = hashKey(Keys[I]);
+    Hashes[I] = Hash;
+    const ShardRep &S = Reps[shardOfHash(Hash)];
+    __builtin_prefetch(&S.Keys->slot(uint32_t(Hash & Mask)));
+    __builtin_prefetch(&S.Vals->slot(uint32_t(Hash & Mask)));
+  }
+  // Round 2: the records those Vals slots point to. The relaxed load is a
+  // hint, never trusted: the slot may belong to another key further up the
+  // probe chain, or be relinked before the transaction reads it. Records
+  // are recycled, never freed, so a stale pointer is still mapped memory.
+  for (size_t I = 0; I < N; ++I) {
+    const ShardRep &S = Reps[shardOfHash(Hashes[I])];
+    if (const Object *V = S.Vals->rawLoadRef(uint32_t(Hashes[I] & Mask))) {
+      __builtin_prefetch(V);            // Record header (the tx record).
+      __builtin_prefetch(&V->slot(0));  // Value slot; may cross a line.
+    }
+  }
+}
+
+int Store::findSlotTxn(stm::Txn &Tx, const ShardRep &S, Word Key,
+                       uint64_t Hash, int *FirstFree) const {
+  const uint32_t Mask = Capacity - 1;
+  uint32_t I = uint32_t(Hash & Mask);
   if (FirstFree)
     *FirstFree = -1;
   for (uint32_t N = 0; N < Capacity; ++N, I = (I + 1) & Mask) {
@@ -290,7 +334,8 @@ int Store::findSlotTxn(stm::Txn &Tx, const ShardRep &S, Word Key,
 
 OpStatus Store::insert(Word Key, Word Val, const OpBudget &B) {
   assert(Val != Tombstone && "Tombstone is reserved");
-  uint32_t Shard = shardOf(Key);
+  const uint64_t Hash = hashKey(Key);
+  uint32_t Shard = shardOfHash(Hash);
   ShardRep &S = Reps[Shard];
   // Harvest at most one ripe retired record *before* the attempt loop —
   // popping inside the body would double-pop across re-executions.
@@ -302,7 +347,7 @@ OpStatus Store::insert(Word Key, Word Val, const OpBudget &B) {
     St = OpStatus::Ok;
     UsedRecycled = false;
     int FirstFree = -1;
-    int Slot = findSlotTxn(Tx, S, Key, &FirstFree);
+    int Slot = findSlotTxn(Tx, S, Key, Hash, &FirstFree);
     int Target = Slot;
     bool RecycledSlot = false;
     if (Slot >= 0) {
@@ -377,15 +422,17 @@ bool Store::insert(Word Key, Word Val) {
 
 OpStatus Store::multiPut(const Word *Keys, const Word *Vals, size_t N,
                          OpStatus *PerKey, const OpBudget &B) {
+  Scratch<uint64_t> Hashes(N);
+  locate(Keys, N, Hashes.data());
   OpStatus St = OpStatus::Ok;
   return runBudgeted(B, St, [&](stm::Txn &Tx) {
     St = OpStatus::Ok;
     for (size_t I = 0; I < N; ++I) {
       assert(Vals[I] != Tombstone && "Tombstone is reserved");
-      uint32_t Shard = shardOf(Keys[I]);
+      uint32_t Shard = shardOfHash(Hashes[I]);
       ShardRep &S = Reps[Shard];
       int FirstFree = -1;
-      int Slot = findSlotTxn(Tx, S, Keys[I], &FirstFree);
+      int Slot = findSlotTxn(Tx, S, Keys[I], Hashes[I], &FirstFree);
       if (Slot >= 0) {
         Object *V = Tx.readRef(S.Vals, uint32_t(Slot));
         if (V) {
@@ -420,12 +467,13 @@ OpStatus Store::multiPut(const Word *Keys, const Word *Vals, size_t N,
 }
 
 OpStatus Store::erase(Word Key, const OpBudget &B) {
-  uint32_t Shard = shardOf(Key);
+  const uint64_t Hash = hashKey(Key);
+  uint32_t Shard = shardOfHash(Hash);
   ShardRep &S = Reps[Shard];
   OpStatus St = OpStatus::Ok;
   return runBudgeted(B, St, [&](stm::Txn &Tx) {
     St = OpStatus::NotFound;
-    int Slot = findSlotTxn(Tx, S, Key, nullptr);
+    int Slot = findSlotTxn(Tx, S, Key, Hash, nullptr);
     if (Slot < 0)
       return;
     Object *V = Tx.readRef(S.Vals, uint32_t(Slot));
@@ -453,11 +501,13 @@ bool Store::erase(Word Key) {
 OpStatus Store::cas(Word Key, Word Expected, Word Desired,
                     const OpBudget &B) {
   assert(Desired != Tombstone && "Tombstone is reserved");
-  ShardRep &S = Reps[shardOf(Key)];
+  const uint64_t Hash = hashKey(Key);
+  const uint32_t Shard = shardOfHash(Hash);
+  ShardRep &S = Reps[Shard];
   OpStatus St = OpStatus::Ok;
   return runBudgeted(B, St, [&](stm::Txn &Tx) {
     St = OpStatus::NotFound;
-    int Slot = findSlotTxn(Tx, S, Key, nullptr);
+    int Slot = findSlotTxn(Tx, S, Key, Hash, nullptr);
     if (Slot < 0)
       return;
     Object *V = Tx.readRef(S.Vals, uint32_t(Slot));
@@ -471,7 +521,7 @@ OpStatus Store::cas(Word Key, Word Expected, Word Desired,
       return;
     }
     Tx.write(V, 0, Desired);
-    logRedo(Tx, shardOf(Key), WalOp::Put, Key, Desired);
+    logRedo(Tx, Shard, WalOp::Put, Key, Desired);
     St = OpStatus::Ok;
   });
 }
@@ -480,25 +530,28 @@ bool Store::cas(Word Key, Word Expected, Word Desired) {
   return cas(Key, Expected, Desired, OpBudget{}) == OpStatus::Ok;
 }
 
+size_t Store::readLocated(stm::Txn &Tx, const Word *Keys,
+                          const uint64_t *Hashes, size_t N, Word *Out) const {
+  size_t Hits = 0;
+  for (size_t I = 0; I < N; ++I) {
+    const ShardRep &S = Reps[shardOfHash(Hashes[I])];
+    int Slot = findSlotTxn(Tx, S, Keys[I], Hashes[I], nullptr);
+    Object *V = Slot < 0 ? nullptr : Tx.readRef(S.Vals, uint32_t(Slot));
+    // Missing or erased keys read as Tombstone.
+    Out[I] = V ? Tx.read(V, 0) : Tombstone;
+    Hits += Out[I] != Tombstone;
+  }
+  return Hits;
+}
+
 OpStatus Store::multiGet(const Word *Keys, size_t N, Word *Out,
                          const OpBudget &B, size_t *Found) const {
+  Scratch<uint64_t> Hashes(N);
+  locate(Keys, N, Hashes.data());
   size_t Hits = 0;
   OpStatus St = OpStatus::Ok;
   OpStatus R = runBudgeted(B, St, [&](stm::Txn &Tx) {
-    Hits = 0;
-    for (size_t I = 0; I < N; ++I) {
-      const ShardRep &S = Reps[shardOf(Keys[I])];
-      int Slot = findSlotTxn(Tx, S, Keys[I], nullptr);
-      Object *V =
-          Slot < 0 ? nullptr : Tx.readRef(S.Vals, uint32_t(Slot));
-      if (!V) {
-        Out[I] = Tombstone;
-        continue;
-      }
-      Out[I] = Tx.read(V, 0);
-      if (Out[I] != Tombstone)
-        ++Hits;
-    }
+    Hits = readLocated(Tx, Keys, Hashes.data(), N, Out);
   });
   if (Found)
     *Found = R == OpStatus::Ok ? Hits : 0;
@@ -516,26 +569,14 @@ size_t Store::multiGet(const Word *Keys, size_t N, Word *Out) const {
 //===----------------------------------------------------------------------===
 
 size_t Store::snapshotMultiGet(const Word *Keys, size_t N, Word *Out) const {
+  Scratch<uint64_t> Hashes(N);
+  locate(Keys, N, Hashes.data());
   size_t Hits = 0;
   // Read-only snapshot region: the probe and the value loads all resolve
   // against the pinned epoch's version records. The body cannot conflict
   // (no writes, no validation), so it executes exactly once.
   stm::Txn::runSnapshot([&] {
-    stm::Txn &Tx = stm::Txn::forThisThread();
-    Hits = 0;
-    for (size_t I = 0; I < N; ++I) {
-      const ShardRep &S = Reps[shardOf(Keys[I])];
-      int Slot = findSlotTxn(Tx, S, Keys[I], nullptr);
-      Object *V =
-          Slot < 0 ? nullptr : Tx.readRef(S.Vals, uint32_t(Slot));
-      if (!V) {
-        Out[I] = Tombstone; // Missing or erased as of the pinned epoch.
-        continue;
-      }
-      Out[I] = Tx.read(V, 0);
-      if (Out[I] != Tombstone)
-        ++Hits;
-    }
+    Hits = readLocated(stm::Txn::forThisThread(), Keys, Hashes.data(), N, Out);
   });
   return Hits;
 }
@@ -580,14 +621,16 @@ OpStatus Store::readModifyWrite(
     const Word *Keys, size_t N,
     const std::function<void(Word *Vals, size_t N)> &Mutate,
     const OpBudget &B) {
-  std::vector<Word> Buf(N);
-  std::vector<rt::Object *> Objs(N);
+  Scratch<uint64_t> Hashes(N);
+  Scratch<Word> Buf(N);
+  Scratch<rt::Object *> Objs(N);
+  locate(Keys, N, Hashes.data());
   OpStatus St = OpStatus::Ok;
   return runBudgeted(B, St, [&](stm::Txn &Tx) {
     St = OpStatus::NotFound;
     for (size_t I = 0; I < N; ++I) {
-      const ShardRep &S = Reps[shardOf(Keys[I])];
-      int Slot = findSlotTxn(Tx, S, Keys[I], nullptr);
+      const ShardRep &S = Reps[shardOfHash(Hashes[I])];
+      int Slot = findSlotTxn(Tx, S, Keys[I], Hashes[I], nullptr);
       if (Slot < 0)
         return;
       Objs[I] = Tx.readRef(S.Vals, uint32_t(Slot));
@@ -601,7 +644,7 @@ OpStatus Store::readModifyWrite(
     for (size_t I = 0; I < N; ++I) {
       assert(Buf[I] != Tombstone && "Tombstone is reserved");
       Tx.write(Objs[I], 0, Buf[I]);
-      logRedo(Tx, shardOf(Keys[I]), WalOp::Put, Keys[I], Buf[I]);
+      logRedo(Tx, shardOfHash(Hashes[I]), WalOp::Put, Keys[I], Buf[I]);
     }
     St = OpStatus::Ok;
   });

@@ -150,9 +150,7 @@ public:
   uint32_t shards() const { return uint32_t(Reps.size()); }
   uint32_t capacityPerShard() const { return Capacity; }
 
-  uint32_t shardOf(Word Key) const {
-    return uint32_t((hashKey(Key) >> 32) & (Reps.size() - 1));
-  }
+  uint32_t shardOf(Word Key) const { return shardOfHash(hashKey(Key)); }
 
   /// First probe slot for \p Key in a table of \p Capacity slots.
   static uint32_t probeStart(Word Key, uint32_t Capacity) {
@@ -366,12 +364,31 @@ private:
   /// when a Wal is attached; no-op (one predicted branch) otherwise.
   void logRedo(stm::Txn &Tx, uint32_t Shard, WalOp Op, Word Key, Word Val);
 
+  uint32_t shardOfHash(uint64_t Hash) const {
+    return uint32_t((Hash >> 32) & (Reps.size() - 1));
+  }
+
+  /// The locate rounds of a multi-key operation, run before its
+  /// transaction reads anything: stores every key's hash in \p Hashes and
+  /// prefetches its Keys/Vals lines at the probe start (round 1), then
+  /// relaxed-loads each of those Vals slots and prefetches the record it
+  /// points to (round 2). Hints only: the transaction that follows trusts
+  /// nothing read here.
+  void locate(const Word *Keys, size_t N, uint64_t *Hashes) const;
+
   /// Probe under transaction \p Tx (passed in so the per-key hot loops pay
-  /// no thread-local descriptor lookup); returns the slot holding \p Key
-  /// or -1. \p FirstFree receives the first empty slot (insert target) or
-  /// -1 when the probe wrapped without finding one.
-  int findSlotTxn(stm::Txn &Tx, const ShardRep &S, Word Key,
+  /// no thread-local descriptor lookup), starting at \p Key's \p Hash;
+  /// returns the slot holding \p Key or -1. \p FirstFree receives the
+  /// first empty slot (insert target) or -1 when the probe wrapped without
+  /// finding one.
+  int findSlotTxn(stm::Txn &Tx, const ShardRep &S, Word Key, uint64_t Hash,
                   int *FirstFree) const;
+
+  /// The read body shared by multiGet and snapshotMultiGet: reads \p N
+  /// located keys under \p Tx into \p Out (Tombstone when missing or
+  /// erased) and returns the number found.
+  size_t readLocated(stm::Txn &Tx, const Word *Keys, const uint64_t *Hashes,
+                     size_t N, Word *Out) const;
 
   rt::Heap &H;
   uint32_t Capacity;

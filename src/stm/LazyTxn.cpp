@@ -229,9 +229,8 @@ bool LazyTxn::tryCommit() {
   // Snapshot-plane publication, part 1: allocate the version nodes while
   // the transaction can still abort (an injected allocation failure past
   // the commit point could not roll back).
-  std::vector<std::pair<Object *, snap::VersionNode *>> PubNodes;
+  PubNodes.clear();
   if (config().SnapshotEnabled && !Held.empty()) {
-    PubNodes.reserve(Held.size());
     bool AllocFailed = false;
     for (auto &[Rec, Prior] : Held) {
       (void)Prior;

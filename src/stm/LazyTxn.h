@@ -146,6 +146,9 @@ private:
   std::vector<BufferEntry> Buffer; ///< Insertion order = write-back order.
   std::unordered_map<std::pair<rt::Object *, uint32_t>, size_t, KeyHash>
       BufferIndex;
+  /// Commit-time (object, version node) scratch, kept across commits so
+  /// its capacity is reused (see Txn::PubNodes).
+  std::vector<std::pair<rt::Object *, snap::VersionNode *>> PubNodes;
   bool Active = false;
   /// In-flight op counts, folded into the stats block once per
   /// transaction end (reset) — see the eager Txn's fields of the same

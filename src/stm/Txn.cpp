@@ -419,31 +419,30 @@ Word Txn::snapshotReadSlow(Object *O, uint32_t Slot) {
 uint64_t Txn::publishVersions() {
   // Allocate every node first: an injected allocation failure here can
   // still unwind (locks and undo log intact, nothing linked yet).
-  std::vector<std::pair<Object *, snap::VersionNode *>> Nodes;
-  Nodes.reserve(WriteLocks.size());
+  PubNodes.clear();
   for (const WriteEntry &L : WriteLocks) {
     // The record is the object's first header word.
     Object *O = reinterpret_cast<Object *>(L.Rec);
     assert(&O->txRecord() == L.Rec && "record is not the object header");
     snap::VersionNode *N = snap::allocateNode(O);
     if (!N) {
-      for (auto &P : Nodes)
+      for (auto &P : PubNodes)
         snap::freeNode(P.second);
       conflictAbort(AbortReason::FaultInjected);
     }
-    Nodes.push_back({O, N});
+    PubNodes.push_back({O, N});
   }
-  for (auto &P : Nodes)
+  for (auto &P : PubNodes)
     snap::fillNode(P.first, P.second);
   // Non-blocking from here until Quiescence::finishPublish (the caller's
   // duty, after releasing the locks): the in-order stable advance waits on
   // earlier tickets, so nothing between ticket and finish may block.
   uint64_t Ticket = Quiescence::beginPublish();
-  for (auto &P : Nodes)
+  for (auto &P : PubNodes)
     snap::publishNode(P.first, P.second, Ticket);
   statsForThisThread().SnapshotPublishes++;
   traceEvent(TraceKind::SnapshotPublish,
-             uint8_t(Nodes.size() < 255 ? Nodes.size() : 255));
+             uint8_t(PubNodes.size() < 255 ? PubNodes.size() : 255));
   return Ticket;
 }
 

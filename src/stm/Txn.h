@@ -531,6 +531,10 @@ private:
   std::vector<std::function<void()>> CommitActions;
   std::vector<std::function<void()>> AbortActions;
   std::vector<PublishEntry> PublishLog;
+  /// publishVersions' (object, node) scratch: owned by the descriptor so
+  /// its capacity survives from commit to commit instead of being
+  /// reallocated by every publishing commit.
+  std::vector<std::pair<rt::Object *, snap::VersionNode *>> PubNodes;
   size_t Depth = 0;
   /// Read/write op counts of the transaction in flight, folded into the
   /// thread's stats block once per transaction end (resetState). Plain

@@ -8,7 +8,9 @@
 // insert/erase/rmw, and the conservation stress — concurrent transactional
 // transfers against wait-free snapshot multi-gets, where every snapshot
 // must sum to the invariant and the read side must prove it never aborted
-// or re-executed (the plane's zero-abort contract, DESIGN.md §10).
+// or re-executed (the plane's zero-abort contract, DESIGN.md §10) — and
+// the same ledger read through the multi-key operations' locate rounds
+// while erase/reinsert churn recycles value records onto other keys.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,7 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -319,6 +322,113 @@ TEST_F(SnapshotStoreTest, ConservationUnderConcurrentTransfers) {
   Word Sum = 0;
   for (int I = 0; I < NumKeys; ++I)
     Sum += Out[I];
+  EXPECT_EQ(Sum, Invariant);
+}
+
+TEST_F(SnapshotStoreTest, LocateRoundsHoldLedgerUnderRecordRecycling) {
+  // The multi-key operations prefetch through a relaxed load of each
+  // key's probe-start Vals slot before their transaction starts. Churn
+  // keys share the ledger's probe chains and are erased and reinserted
+  // continually, so that slot is often null, another key's, or a record
+  // recycled from one key onto another. Nothing read there may leak into
+  // a result: the ledger must conserve its sum in every multiGet and
+  // snapshotMultiGet, and a churn key must read as absent or as its own
+  // value, never another key's.
+  StoreConfig SC2;
+  SC2.Shards = 2;
+  SC2.CapacityPerShard = 32;
+  Store S(H, SC2);
+
+  constexpr int LedgerKeys = 8, ChurnKeys = 16, Churners = 2;
+  constexpr Word PerKey = 1000, Invariant = LedgerKeys * PerKey;
+  auto ChurnVal = [](Word K) { return K * 1000 + 7; };
+  Word AllKeys[LedgerKeys + ChurnKeys];
+  for (int I = 0; I < LedgerKeys; ++I) {
+    AllKeys[I] = Word(I + 1);
+    ASSERT_TRUE(S.insert(AllKeys[I], PerKey));
+  }
+  for (int I = 0; I < ChurnKeys; ++I) {
+    AllKeys[LedgerKeys + I] = Word(100 + I);
+    if (I % 4 < 2) // Half of each churner's keys start present.
+      ASSERT_TRUE(S.insert(AllKeys[LedgerKeys + I], ChurnVal(100 + I)));
+  }
+
+  const char *Fast = std::getenv("SATM_FAST_TESTS");
+  // Each writer (the transfer thread and every churner) runs a fixed
+  // number of operations; the readers run until all of them are done.
+  const int Ops = Fast && Fast[0] == '1' ? 5000 : 20000;
+  std::atomic<int> Writing{1 + Churners};
+  std::atomic<uint64_t> Bad{0}, Reads{0};
+  std::vector<std::thread> Ts;
+  Ts.emplace_back([&] {
+    uint64_t R = 0x2545f4914f6cdd1dull;
+    for (int I = 0; I < Ops; ++I) {
+      R = R * 6364136223846793005ull + 1442695040888963407ull;
+      int A = int((R >> 33) % LedgerKeys), B = int((R >> 13) % LedgerKeys);
+      if (A == B)
+        B = (B + 1) % LedgerKeys;
+      Word D = (R >> 21) % 5 + 1;
+      const Word Pair[2] = {AllKeys[A], AllKeys[B]};
+      bool Ok = S.readModifyWrite(Pair, 2, [D](Word *V, size_t) {
+        if (V[0] >= D) {
+          V[0] -= D;
+          V[1] += D;
+        }
+      });
+      if (!Ok)
+        Bad.fetch_add(1, std::memory_order_relaxed);
+    }
+    Writing.fetch_sub(1, std::memory_order_release);
+  });
+  for (int C = 0; C < Churners; ++C)
+    Ts.emplace_back([&, C] {
+      // Churner C owns churn keys 100 + C, 100 + C + 2, ...: it erases a
+      // present one and inserts an absent one, which recycles retired
+      // records (possibly another key's) out of the shard's pool.
+      std::vector<Word> In, Out;
+      for (int I = C; I < ChurnKeys; I += Churners)
+        (I % 4 < 2 ? In : Out).push_back(Word(100 + I));
+      uint64_t R = 0x9e3779b97f4a7c15ull * uint64_t(C + 1);
+      for (int Op = 0; Op < Ops; ++Op) {
+        R = R * 6364136223846793005ull + 1442695040888963407ull;
+        size_t E = (R >> 33) % In.size(), I = (R >> 13) % Out.size();
+        if (!S.erase(In[E]) || !S.insert(Out[I], ChurnVal(Out[I])))
+          Bad.fetch_add(1, std::memory_order_relaxed);
+        std::swap(In[E], Out[I]);
+      }
+      Writing.fetch_sub(1, std::memory_order_release);
+    });
+  for (bool Snapshot : {false, true})
+    Ts.emplace_back([&, Snapshot] {
+      constexpr int N = LedgerKeys + ChurnKeys;
+      Word Vals[N];
+      do {
+        if (Snapshot)
+          S.snapshotMultiGet(AllKeys, N, Vals);
+        else
+          S.multiGet(AllKeys, N, Vals);
+        Reads.fetch_add(1, std::memory_order_relaxed);
+        Word Sum = 0;
+        for (int I = 0; I < LedgerKeys; ++I)
+          Sum += Vals[I];
+        bool Ok = Sum == Invariant;
+        for (int I = LedgerKeys; I < N; ++I)
+          Ok &= Vals[I] == Store::Tombstone || Vals[I] == ChurnVal(AllKeys[I]);
+        if (!Ok)
+          Bad.fetch_add(1, std::memory_order_relaxed);
+      } while (Writing.load(std::memory_order_acquire) != 0);
+    });
+  for (auto &T : Ts)
+    T.join();
+
+  EXPECT_EQ(Bad.load(), 0u);
+  EXPECT_GE(Reads.load(), 2u);
+  EXPECT_GT(S.reclaimStats().Recycled, 0u) << "churn recycled no record";
+  Word Out[LedgerKeys];
+  ASSERT_EQ(S.multiGet(AllKeys, LedgerKeys, Out), size_t(LedgerKeys));
+  Word Sum = 0;
+  for (Word V : Out)
+    Sum += V;
   EXPECT_EQ(Sum, Invariant);
 }
 

@@ -8,8 +8,10 @@
 // multi-key operations, the barrier-plane GET/PUT fast paths, tombstone
 // erase/resurrect, probe displacement, shard-full reporting, and the DEA
 // lifecycle of value objects (born Private, published by the insert's
-// transactional ref store). Concurrency is covered by KvStressTest (real
-// threads) and by the explorer model in tests/check/KvModelTest.
+// transactional ref store), and the multi-key operations' locate rounds
+// checked against key-by-key twins. Concurrency is covered by KvStressTest
+// and SnapshotStoreTest (real threads) and by the explorer model in
+// tests/check/KvModelTest.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,9 +19,12 @@
 
 #include "stm/Config.h"
 #include "stm/Dea.h"
+#include "stm/Snapshot.h"
 
 #include "gtest/gtest.h"
 
+#include <map>
+#include <set>
 #include <vector>
 
 using namespace satm;
@@ -253,6 +258,168 @@ TEST(KvStore, ShapeRoundsUpToPowersOfTwo) {
   EXPECT_EQ(S.capacityPerShard(), 16u);
   for (Word K = 0; K < 50; ++K)
     EXPECT_LT(S.shardOf(K), 4u);
+}
+
+/// The locate-rounds fixture: one deterministic history of inserts and
+/// erases. Replayed on two stores it puts every index entry and record in
+/// the same place in both, so a batch operation on one can be checked
+/// against the key-by-key get/cas/insert sequence on the other.
+struct LocateHistory {
+  static constexpr uint32_t Capacity = 32;
+  std::vector<Word> Present, Erased, Displaced;
+  /// A displaced key whose probe-start slot holds an erased entry: round 2
+  /// reads a null Vals slot there although the key itself is live.
+  Word DisplacedPastErased = 0;
+
+  LocateHistory() {
+    // Replays linear probing to learn where each key lands, so the batches
+    // below provably contain keys whose chain runs past their start slot.
+    std::map<std::pair<uint32_t, uint32_t>, Word> Owner;
+    rt::Heap H;
+    Store Shape(H, config());
+    for (Word K = 0; K < 48; ++K) {
+      uint32_t Shard = Shape.shardOf(K);
+      uint32_t Start = Store::probeStart(K, Capacity), Slot = Start;
+      while (Owner.count({Shard, Slot}))
+        Slot = (Slot + 1) & (Capacity - 1);
+      Owner[{Shard, Slot}] = K;
+      if (Slot != Start)
+        Displaced.push_back(K);
+    }
+    // Keys divisible by 5 are erased; so is the start-slot owner of the
+    // first live displaced key.
+    for (Word K : Displaced)
+      if (K % 5 != 0) {
+        DisplacedPastErased = K;
+        Word StartOwner =
+            Owner[{Shape.shardOf(K), Store::probeStart(K, Capacity)}];
+        if (StartOwner % 5 != 0)
+          Erased.push_back(StartOwner);
+        break;
+      }
+    for (Word K = 0; K < 48; ++K)
+      if (K % 5 == 0)
+        Erased.push_back(K);
+    std::set<Word> Gone(Erased.begin(), Erased.end());
+    for (Word K = 0; K < 48; ++K)
+      if (!Gone.count(K))
+        Present.push_back(K);
+  }
+
+  static StoreConfig config() {
+    StoreConfig C;
+    C.Shards = 4;
+    C.CapacityPerShard = Capacity;
+    return C;
+  }
+
+  void replay(Store &S) const {
+    for (Word K = 0; K < 48; ++K)
+      ASSERT_TRUE(S.insert(K, K * 3 + 1));
+    for (Word K : Erased)
+      ASSERT_TRUE(S.erase(K));
+  }
+};
+
+/// Every key of the history plus a few never inserted, compared across
+/// the two stores through the single-key plane.
+void expectSameContents(const Store &A, const Store &B) {
+  for (Word K = 0; K < 1010; ++K) {
+    Word VA = 0, VB = 0;
+    bool HA = A.get(K, VA), HB = B.get(K, VB);
+    ASSERT_EQ(HA, HB) << "key " << K;
+    if (HA)
+      EXPECT_EQ(VA, VB) << "key " << K;
+  }
+  EXPECT_EQ(A.size(), B.size());
+}
+
+TEST(KvStore, LocateRoundsMatchKeyByKey) {
+  Config Cfg;
+  Cfg.SnapshotEnabled = true;
+  ScopedConfig SC(Cfg);
+  LocateHistory Hist;
+  ASSERT_FALSE(Hist.Displaced.empty());
+  ASSERT_NE(Hist.DisplacedPastErased, 0u);
+
+  rt::Heap HA, HB;
+  Store A(HA, LocateHistory::config()), B(HB, LocateHistory::config());
+  Hist.replay(A);
+  Hist.replay(B);
+
+  // Read batch: duplicates, several keys per shard (48 keys over 4
+  // shards), absent keys, erased keys, displaced keys, and a displaced key
+  // past an erased start slot.
+  std::vector<Word> Reads = {Hist.Present[0], Hist.Present[1],
+                             Hist.Present[0], 1000,
+                             Hist.Erased[0],  Hist.DisplacedPastErased,
+                             1000,            Hist.Erased[1]};
+  Reads.insert(Reads.end(), Hist.Displaced.begin(), Hist.Displaced.end());
+  Reads.insert(Reads.end(), Hist.Present.begin(), Hist.Present.end());
+  std::vector<Word> Want(Reads.size());
+  size_t WantHits = 0;
+  for (size_t I = 0; I < Reads.size(); ++I) {
+    if (B.get(Reads[I], Want[I]))
+      ++WantHits;
+    else
+      Want[I] = Store::Tombstone;
+  }
+  std::vector<Word> Got(Reads.size(), 7);
+  EXPECT_EQ(A.multiGet(Reads.data(), Reads.size(), Got.data()), WantHits);
+  EXPECT_EQ(Got, Want);
+  std::fill(Got.begin(), Got.end(), 7);
+  EXPECT_EQ(A.snapshotMultiGet(Reads.data(), Reads.size(), Got.data()),
+            WantHits);
+  EXPECT_EQ(Got, Want);
+
+  // readModifyWrite: read every key, mutate the batch, write it back in
+  // order (a duplicate's last write wins) — or, if any key is missing,
+  // do nothing at all. The twin runs the same as gets then cas-es.
+  auto Mutate = [](Word *V, size_t N) {
+    for (size_t I = 0; I < N; ++I)
+      V[I] = V[I] * 2 + I + 1;
+  };
+  auto KeyByKey = [&](const std::vector<Word> &Keys) {
+    std::vector<Word> Buf(Keys.size());
+    for (size_t I = 0; I < Keys.size(); ++I)
+      if (!B.get(Keys[I], Buf[I]))
+        return false;
+    Mutate(Buf.data(), Buf.size());
+    for (size_t I = 0; I < Keys.size(); ++I) {
+      Word Cur = 0;
+      EXPECT_TRUE(B.get(Keys[I], Cur));
+      EXPECT_TRUE(B.cas(Keys[I], Cur, Buf[I]));
+    }
+    return true;
+  };
+  std::vector<Word> Rmw = {Hist.Present[2], Hist.DisplacedPastErased,
+                           Hist.Present[2], Hist.Present[3]};
+  Rmw.insert(Rmw.end(), Hist.Displaced.begin(), Hist.Displaced.end());
+  for (const std::vector<Word> &Keys :
+       {Rmw, std::vector<Word>{Hist.Present[4], Hist.Erased[2]},
+        std::vector<Word>{1001, Hist.Present[4]}}) {
+    bool Want = KeyByKey(Keys);
+    EXPECT_EQ(A.readModifyWrite(Keys.data(), Keys.size(), Mutate), Want);
+  }
+  expectSameContents(A, B);
+
+  // multiPut: overwrite present keys, resurrect erased ones, insert new
+  // ones (a duplicated new key inserts, then overwrites its own insert).
+  std::vector<Word> Puts = {Hist.Present[5], Hist.Erased[3], 1002,
+                            1002,            Hist.DisplacedPastErased,
+                            Hist.Erased[0],  1003};
+  std::vector<Word> PutVals;
+  for (size_t I = 0; I < Puts.size(); ++I)
+    PutVals.push_back(5000 + I);
+  std::vector<OpStatus> PerKey(Puts.size(), OpStatus::Mismatch);
+  ASSERT_EQ(A.multiPut(Puts.data(), PutVals.data(), Puts.size(),
+                       PerKey.data()),
+            OpStatus::Ok);
+  for (size_t I = 0; I < Puts.size(); ++I)
+    EXPECT_EQ(PerKey[I] == OpStatus::Ok, B.insert(Puts[I], PutVals[I]))
+        << "key " << Puts[I];
+  expectSameContents(A, B);
+  snap::resetTable();
 }
 
 } // namespace
